@@ -259,8 +259,8 @@ func BenchmarkTernGradCompress(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMul measures the tensor substrate's core kernel (now
-// cache-blocked over the reduction dimension).
+// BenchmarkMatMul measures the tensor substrate's core kernel: a 2×4
+// register tile of partial sums swept over k-panels of b.
 func BenchmarkMatMul(b *testing.B) {
 	x := benchMatrix(256, 256)
 	y := benchMatrix(256, 256)

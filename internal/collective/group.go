@@ -39,11 +39,12 @@ type Group struct {
 	// the sparse-vs-densified benchmarks flip.
 	denseReduce bool
 
-	// free recycles op descriptors between issues. Pending handles are
-	// returned here by Wait; issue and wait may run on different
-	// goroutines, hence the lock.
+	// free recycles op descriptors between issues, one list per op kind
+	// so that only compressed ops' descriptors grow ship buffers. Pending
+	// handles are returned here by Wait; issue and wait may run on
+	// different goroutines, hence the lock.
 	mu   sync.Mutex
-	free []*Pending
+	free [numOpKinds][]*Pending
 }
 
 // SetDensifiedReduce toggles the densified oracle path for compressed
@@ -61,6 +62,7 @@ const (
 	opAllReduce opKind = iota
 	opAllReduceCompressed
 	opBroadcast
+	numOpKinds
 )
 
 // Pending is one issued collective operation. Wait blocks until every
@@ -82,7 +84,14 @@ type Pending struct {
 	// opBytes is the dense wire size of one broadcast hop.
 	opBytes int64
 	offs    []int // chunk offsets, len(ranks)+1
-	recons  []*tensor.Matrix
+	// recons holds the wire path's received reconstructions, which are
+	// pooled and go back to the pool when the op finishes.
+	recons []*tensor.Matrix
+	// ships holds the in-memory compressed path's per-member copies of
+	// the reconstructions. The descriptor owns them and reuses them on
+	// every compressed op it carries, so how the members of concurrent
+	// ops interleave never changes the pool's traffic.
+	ships []tensor.Matrix
 	// sparse marks a compressed op whose every compressor is sparse-native
 	// (and the group's densified-oracle knob is off): members ship sparse
 	// payload copies through spl instead of dense reconstructions.
@@ -232,12 +241,13 @@ func (g *Group) accountSteps(n int) {
 	}
 }
 
-// getOp pops a recycled descriptor (or builds the group's next one).
-func (g *Group) getOp() *Pending {
+// getOp pops a recycled descriptor of the given kind (or builds the
+// group's next one).
+func (g *Group) getOp(kind opKind) *Pending {
 	g.mu.Lock()
-	if n := len(g.free); n > 0 {
-		p := g.free[n-1]
-		g.free = g.free[:n-1]
+	if n := len(g.free[kind]); n > 0 {
+		p := g.free[kind][n-1]
+		g.free[kind] = g.free[kind][:n-1]
 		g.mu.Unlock()
 		return p
 	}
@@ -247,6 +257,7 @@ func (g *Group) getOp() *Pending {
 		g:      g,
 		offs:   make([]int, d+1),
 		recons: make([]*tensor.Matrix, d),
+		ships:  make([]tensor.Matrix, d),
 		spl:    make([]*tensor.Sparse, d),
 		viewA:  make([]tensor.Matrix, d),
 		viewB:  make([]tensor.Matrix, d),
@@ -258,7 +269,7 @@ func (g *Group) putOp(p *Pending) {
 	p.bufs = nil
 	p.efs = nil
 	g.mu.Lock()
-	g.free = append(g.free, p)
+	g.free[p.kind] = append(g.free[p.kind], p)
 	g.mu.Unlock()
 }
 
@@ -273,7 +284,7 @@ func (g *Group) prep(kind opKind, bufs []*tensor.Matrix, scale float64) *Pending
 			panic(fmt.Sprintf("collective: buffer shape %dx%d != %dx%d", r, c, r0, c0))
 		}
 	}
-	p := g.getOp()
+	p := g.getOp(kind)
 	p.kind = kind
 	p.bufs = bufs
 	p.efs = nil
@@ -379,9 +390,9 @@ func (p *Pending) exec(m int) {
 		// Last member out: record the operation's issue→finish span — its
 		// Bytes field carries the op's full executed wire volume, so the
 		// per-link-class span sums reconcile exactly against the transport
-		// counters — and, for compressed ops, return the reconstruction
-		// (or sparse payload) copies to the pool; only now is every member
-		// done reading them.
+		// counters — and, for compressed ops, return the pooled
+		// reconstructions (wire path) or sparse payload copies to the
+		// pool; only now is every member done reading them.
 		g := p.g
 		if rec := g.rt.rec; rec != nil {
 			var ph obs.Phase
@@ -444,27 +455,9 @@ func (p *Pending) runAllReduce(m int) {
 		tr.Recv(cls, self, left)
 	}
 
-	// Deterministic reduction of the owned segment (chunk m+1), in flat
-	// ring order over every member's buffer. Writes stay inside this
-	// member's segment; reads of other buffers touch only that segment,
-	// which no other member writes before its all-gather token arrives.
+	// Deterministic reduction of the owned segment (chunk m+1).
 	seg := mod(m+1, d)
-	lo, hi := p.offs[seg], p.offs[seg+1]
-	if hi > lo {
-		sum := g.rt.pool.Get(1, hi-lo)
-		vb := &p.viewB[m]
-		for _, b := range p.bufs {
-			b.SliceInto(vb, lo, hi)
-			sum.Add(vb)
-		}
-		if p.scale != 1 {
-			sum.Scale(p.scale)
-		}
-		va := &p.viewA[m]
-		p.bufs[m].SliceInto(va, lo, hi)
-		va.CopyFrom(sum)
-		g.rt.pool.Put(sum)
-	}
+	p.reduceSegment(m, p.offs[seg], p.offs[seg+1])
 
 	// All-gather rounds: chunk (m+1−t) goes right, chunk (m−t) arrives
 	// from the left member's buffer and is copied into ours.
@@ -500,12 +493,16 @@ func (p *Pending) runAllReduceCompressed(m int) {
 	// The reconstruction is the compressor's own scratch, overwritten by
 	// its next same-shape compression — which an in-flight successor op
 	// sharing this compressor may issue before every member here has
-	// reduced it. Ship a pooled copy instead (the SendCompressed
-	// precedent); the op's last member returns the copies to the pool.
+	// reduced it. Ship a copy in this member's descriptor-owned buffer
+	// instead; the descriptor is recycled only after every member is done.
 	pl, recon := p.efs[m].CompressWithFeedback(p.bufs[m])
-	ship := g.rt.pool.GetUninit(recon.Rows, recon.Cols) // CopyFrom writes every element
-	ship.CopyFrom(recon)
-	p.recons[m] = ship
+	ship := &p.ships[m]
+	n := recon.NumElements()
+	if cap(ship.Data) < n {
+		ship.Data = make([]float64, n)
+	}
+	*ship = tensor.Matrix{Rows: recon.Rows, Cols: recon.Cols, Data: ship.Data[:n]}
+	copy(ship.Data, recon.Data)
 	wire := pl.WireBytes()
 	for t := 0; t < d-1; t++ {
 		p.send(self, right, wire)
@@ -514,12 +511,50 @@ func (p *Pending) runAllReduceCompressed(m int) {
 
 	buf := p.bufs[m]
 	buf.Zero()
-	for _, r := range p.recons {
-		buf.Add(r)
+	for i := range p.ships {
+		buf.Add(&p.ships[i])
 	}
 	if p.scale != 1 {
 		buf.Scale(p.scale)
 	}
+}
+
+// reduceTile is the element count of the scratch tile reduceSegment sums
+// through. Every tile has the same shape, and NewRuntime reserves one in
+// the pool per rank worker, which holds at most one at a time: so every
+// tile Get hits, however the workers of concurrent ops interleave.
+const reduceTile = 256
+
+// reduceSegment sets elements [lo, hi) of member m's buffer to scale·Σ
+// over every member's buffer, added in flat ring order from +0 — the
+// serial reference order — one pooled tile of partial sums at a time.
+// Writes stay inside this member's segment; reads of other buffers touch
+// only that segment, which no other member writes before its all-gather
+// token arrives.
+func (p *Pending) reduceSegment(m, lo, hi int) {
+	if hi <= lo {
+		return
+	}
+	pool := p.g.rt.pool
+	tile := pool.GetUninit(1, reduceTile) // cleared per chunk below
+	dst := p.bufs[m].Data
+	for c := lo; c < hi; c += reduceTile {
+		e := min(c+reduceTile, hi)
+		sum := tile.Data[:e-c]
+		clear(sum)
+		for _, b := range p.bufs {
+			for i, v := range b.Data[c:e] {
+				sum[i] += v
+			}
+		}
+		if p.scale != 1 {
+			for i := range sum {
+				sum[i] *= p.scale
+			}
+		}
+		copy(dst[c:e], sum)
+	}
+	pool.Put(tile)
 }
 
 // SparseReduceCapFraction is the density cap of the sparse merge-union

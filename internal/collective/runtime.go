@@ -135,6 +135,9 @@ func NewRuntime(topo Topology, tr Transport, pool *tensor.Pool) *Runtime {
 		}
 		r.work[i] = make(chan task, workQueueDepth)
 		go r.worker(i)
+		if !r.remote {
+			pool.Put(tensor.New(1, reduceTile)) // this worker's reduction tile
+		}
 	}
 	return r
 }

@@ -107,9 +107,7 @@ func (e *Embedding) BackwardLogits(dLogits *tensor.Matrix) *tensor.Matrix {
 	h := e.hQueue[0]
 	e.hQueue = e.hQueue[1:]
 	// dW = dLogitsᵀ·h  (V×H); dh = dLogits·W (B×H).
-	gw := tensor.New(e.Vocab(), e.Hidden())
-	tensor.MatMulATInto(gw, dLogits, h)
-	e.GW.Add(gw)
+	tensor.MatMulATAddInto(e.GW, dLogits, h)
 	dh := tensor.New(h.Rows, h.Cols)
 	tensor.MatMulInto(dh, dLogits, e.W)
 	return dh

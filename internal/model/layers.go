@@ -61,9 +61,7 @@ func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	}
 	x := l.xQueue[0]
 	l.xQueue = l.xQueue[1:]
-	gw := tensor.New(l.W.Rows, l.W.Cols)
-	tensor.MatMulATInto(gw, x, dy)
-	l.GW.Add(gw)
+	tensor.MatMulATAddInto(l.GW, x, dy)
 	for i := 0; i < dy.Rows; i++ {
 		row := dy.Row(i)
 		for j := range row {
@@ -91,6 +89,7 @@ type LayerNorm struct {
 	Gain, Bias   *tensor.Matrix // 1×dim
 	GGain, GBias *tensor.Matrix
 	queue        []lnCache
+	dxh          []float64 // one row's normalized-input gradient, reused
 }
 
 const lnEps = 1e-5
@@ -145,7 +144,10 @@ func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	ln.queue = ln.queue[1:]
 	dx := tensor.New(dy.Rows, dy.Cols)
 	d := float64(dy.Cols)
-	dxh := make([]float64, dy.Cols)
+	if cap(ln.dxh) < dy.Cols {
+		ln.dxh = make([]float64, dy.Cols)
+	}
+	dxh := ln.dxh[:dy.Cols]
 	for i := 0; i < dy.Rows; i++ {
 		dyr := dy.Row(i)
 		xh := c.xHat.Row(i)

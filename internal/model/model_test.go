@@ -420,3 +420,51 @@ func TestParamBytes(t *testing.T) {
 		t.Fatal("ParamBytes mismatch")
 	}
 }
+
+// TestBackwardAccumulatesWithoutScratch pins the backward temporaries
+// that stay inside their layer: Linear's and the tied head's weight
+// gradients accumulate in place, bit-identical to adding freshly
+// allocated per-micro-batch products, and LayerNorm's row gradient is
+// one reused buffer.
+func TestBackwardAccumulatesWithoutScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	lin := NewLinear(rng, 5, 4)
+	head := NewEmbedding(rng, 7, 4)
+	ln := NewLayerNorm(4)
+	var xs, hs []*tensor.Matrix
+	for mb := 0; mb < 3; mb++ {
+		xs = append(xs, tensor.RandN(rng, 3, 5, 1))
+		hs = append(hs, tensor.RandN(rng, 3, 4, 1))
+		lin.Forward(xs[mb])
+		head.ProjectLogits(hs[mb])
+		ln.Forward(tensor.RandN(rng, 3, 4, 1))
+	}
+	wantLin, wantHead := tensor.New(5, 4), tensor.New(7, 4)
+	var lnDxh *float64
+	for mb := range xs {
+		dy := tensor.RandN(rng, 3, 4, 1)
+		gw := tensor.New(5, 4)
+		tensor.MatMulATInto(gw, xs[mb], dy)
+		wantLin.Add(gw)
+		lin.Backward(dy)
+
+		dl := tensor.RandN(rng, 3, 7, 1)
+		hw := tensor.New(7, 4)
+		tensor.MatMulATInto(hw, dl, hs[mb])
+		wantHead.Add(hw)
+		head.BackwardLogits(dl)
+
+		ln.Backward(tensor.RandN(rng, 3, 4, 1))
+		if mb == 0 {
+			lnDxh = &ln.dxh[0]
+		} else if &ln.dxh[0] != lnDxh {
+			t.Fatalf("micro-batch %d: LayerNorm scratch was reallocated", mb)
+		}
+	}
+	if !lin.GW.Equal(wantLin, 0) {
+		t.Fatal("Linear weight gradient differs from the sum of fresh per-micro-batch products")
+	}
+	if !head.GW.Equal(wantHead, 0) {
+		t.Fatal("tied-head gradient differs from the sum of fresh per-micro-batch products")
+	}
+}

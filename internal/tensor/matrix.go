@@ -8,6 +8,13 @@
 // be flattened, sliced, and communicated as contiguous payloads — the same
 // property the paper relies on when it ships gradient tensors between
 // pipeline stages and data-parallel groups.
+//
+// The matmul kernels (MatMulInto, MatMulATInto, MatMulATAddInto,
+// MatMulBTInto) are register-blocked, and they keep one contract: every
+// output element is the float64 sum over k, in ascending k order from +0,
+// of its products. Results are therefore bit-identical to a naive triple
+// loop for finite inputs. The kernels do not skip zero operands, so a
+// 0·±Inf product yields NaN.
 package tensor
 
 import (
@@ -199,158 +206,6 @@ func AddScaledInto(dst, a *Matrix, s float64, b *Matrix) {
 	}
 }
 
-// MatMul returns a new matrix a×b. Panics if inner dimensions differ.
-func MatMul(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
-}
-
-// Cache-blocking parameters for the matmul kernels. The tilings below are
-// chosen so that every output element's accumulation order over k is
-// exactly the order of the untiled kernels — k-blocks are visited in
-// ascending order and each block's k's in ascending order — which keeps
-// results bit-identical while shrinking the working set to cache-resident
-// panels.
-const (
-	// blockK tiles the reduction dimension of MatMulInto: a blockK-row
-	// panel of b (blockK × b.Cols float64s) stays hot across all rows of a.
-	blockK = 64
-	// blockJ tiles the b rows of MatMulBTInto: a blockJ-row panel of b
-	// stays hot while streaming the rows of a against it.
-	blockJ = 128
-	// atDstResident is the dst footprint (bytes) below which MatMulATInto
-	// keeps the whole dst in cache and streams a/b once (the common
-	// PowerSGD case, where dst is a skinny m×rank factor). Above it, dst is
-	// tiled into row panels instead.
-	atDstResident = 1 << 19
-	// blockIAT is the dst row-panel height used when dst does not fit.
-	blockIAT = 64
-)
-
-// MatMulInto computes dst = a×b without allocating. dst must be a.Rows ×
-// b.Cols and must not alias a or b.
-func MatMulInto(dst, a, b *Matrix) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul inner mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
-	}
-	dst.Zero()
-	matMulRange(dst, a, b, 0, a.Rows)
-}
-
-// matMulRange accumulates rows [lo, hi) of dst = a×b. dst rows must
-// already be zeroed. The k-blocked ikj order keeps the inner loop
-// streaming over contiguous rows of b and dst while a blockK-row panel of
-// b stays cache-resident across the i sweep.
-func matMulRange(dst, a, b *Matrix, lo, hi int) {
-	for kb := 0; kb < a.Cols; kb += blockK {
-		kEnd := kb + blockK
-		if kEnd > a.Cols {
-			kEnd = a.Cols
-		}
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			drow := dst.Row(i)
-			for k := kb; k < kEnd; k++ {
-				av := arow[k]
-				if av == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j, bv := range brow {
-					drow[j] += av * bv
-				}
-			}
-		}
-	}
-}
-
-// MatMulATInto computes dst = aᵀ×b without materializing aᵀ.
-// a is n×m, b is n×p, dst must be m×p.
-func MatMulATInto(dst, a, b *Matrix) {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulAT inner mismatch %dx%d^T * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulATInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
-	}
-	dst.Zero()
-	if int64(dst.Rows)*int64(dst.Cols)*8 <= atDstResident {
-		// dst fits in cache: stream a and b exactly once (PowerSGD's
-		// Q = Mᵀ·P shape, where dst is m×rank).
-		matMulATRange(dst, a, b, 0, a.Cols)
-		return
-	}
-	// Large dst: tile into row panels so each panel stays resident across
-	// the full k sweep, at the cost of re-streaming a per panel.
-	for ib := 0; ib < a.Cols; ib += blockIAT {
-		iEnd := ib + blockIAT
-		if iEnd > a.Cols {
-			iEnd = a.Cols
-		}
-		matMulATRange(dst, a, b, ib, iEnd)
-	}
-}
-
-// matMulATRange accumulates dst rows [lo, hi) of dst = aᵀ×b. dst rows
-// must already be zeroed.
-func matMulATRange(dst, a, b *Matrix, lo, hi int) {
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i := lo; i < hi; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			drow := dst.Row(i)
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
-}
-
-// MatMulBTInto computes dst = a×bᵀ without materializing bᵀ.
-// a is n×m, b is p×m, dst must be n×p.
-func MatMulBTInto(dst, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulBT inner mismatch %dx%d * %dx%d^T", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulBTInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
-	}
-	matMulBTRange(dst, a, b, 0, a.Rows)
-}
-
-// matMulBTRange computes rows [lo, hi) of dst = a×bᵀ. Each output element
-// is a single full-length dot product, so the j tiling below only changes
-// traversal order, never accumulation order. A blockJ-row panel of b stays
-// cache-resident while the rows of a stream against it.
-func matMulBTRange(dst, a, b *Matrix, lo, hi int) {
-	for jb := 0; jb < b.Rows; jb += blockJ {
-		jEnd := jb + blockJ
-		if jEnd > b.Rows {
-			jEnd = b.Rows
-		}
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			drow := dst.Row(i)
-			for j := jb; j < jEnd; j++ {
-				brow := b.Row(j)
-				var s float64
-				for k, av := range arow {
-					s += av * brow[k]
-				}
-				drow[j] = s
-			}
-		}
-	}
-}
-
 // FrobeniusNorm returns sqrt(Σ x²).
 func (m *Matrix) FrobeniusNorm() float64 {
 	var s float64
@@ -389,13 +244,26 @@ func (m *Matrix) Mean() float64 {
 }
 
 // Equal reports whether m and o have identical shape and elements within
-// tol (absolute).
+// tol (absolute). Elements that compare equal always match, so +Inf
+// matches +Inf and +0 matches −0. A NaN matches only a NaN in the same
+// position, whatever tol is; so Equal(o, 0) is an exact comparison that
+// no NaN slips through.
 func (m *Matrix) Equal(o *Matrix, tol float64) bool {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		return false
 	}
 	for i, v := range m.Data {
-		if math.Abs(v-o.Data[i]) > tol {
+		w := o.Data[i]
+		if v == w {
+			continue
+		}
+		if math.IsNaN(v) || math.IsNaN(w) {
+			if math.IsNaN(v) && math.IsNaN(w) {
+				continue
+			}
+			return false
+		}
+		if math.Abs(v-w) > tol {
 			return false
 		}
 	}

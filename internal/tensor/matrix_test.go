@@ -202,6 +202,34 @@ func TestEqualTolerance(t *testing.T) {
 	}
 }
 
+func TestEqualNaNAndSpecials(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	for _, c := range []struct {
+		name string
+		a, b []float64
+		tol  float64
+		want bool
+	}{
+		{"NaN vs finite", []float64{nan}, []float64{1}, 0, false},
+		{"finite vs NaN", []float64{1}, []float64{nan}, 0, false},
+		{"NaN vs finite, huge tol", []float64{nan}, []float64{1}, math.MaxFloat64, false},
+		{"NaN vs NaN", []float64{nan}, []float64{nan}, 0, true},
+		{"NaN vs NaN elsewhere", []float64{nan, 1}, []float64{1, nan}, 1, false},
+		{"+Inf vs +Inf", []float64{inf}, []float64{inf}, 0, true},
+		{"-Inf vs -Inf", []float64{-inf}, []float64{-inf}, 0, true},
+		{"+Inf vs -Inf", []float64{inf}, []float64{-inf}, math.MaxFloat64, false},
+		{"+Inf vs finite", []float64{inf}, []float64{math.MaxFloat64}, math.MaxFloat64, false},
+		{"+Inf vs NaN", []float64{inf}, []float64{nan}, 0, false},
+		{"+0 vs -0", []float64{0}, []float64{negZero}, 0, true},
+		{"-0 vs +0", []float64{negZero}, []float64{0}, 0, true},
+	} {
+		a, b := FromSlice(1, len(c.a), c.a), FromSlice(1, len(c.b), c.b)
+		if got := a.Equal(b, c.tol); got != c.want {
+			t.Errorf("%s: Equal(tol=%v) = %v, want %v", c.name, c.tol, got, c.want)
+		}
+	}
+}
+
 func TestSizeBytes(t *testing.T) {
 	m := New(4, 8)
 	if got := m.SizeBytes(2); got != 64 {
