@@ -160,23 +160,17 @@ func TestBlockedMatMulBTBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMatMulKernelShapePanics checks that every kernel rejects a
-// mismatched inner dimension and a mismatched dst before touching dst.
-func TestMatMulKernelShapePanics(t *testing.T) {
-	for _, c := range []struct {
-		name      string
-		run       func(dst, a, b *Matrix)
-		dst, a, b *Matrix
-	}{
-		{"MatMulInto/inner", MatMulInto, New(2, 3), New(2, 3), New(2, 3)},
-		{"MatMulInto/dst", MatMulInto, New(3, 3), New(2, 3), New(3, 3)},
-		{"MatMulATInto/inner", MatMulATInto, New(2, 2), New(3, 2), New(4, 2)},
-		{"MatMulATInto/dst", MatMulATInto, New(3, 2), New(4, 2), New(4, 2)},
-		{"MatMulATAddInto/inner", MatMulATAddInto, New(2, 2), New(3, 2), New(4, 2)},
-		{"MatMulATAddInto/dst", MatMulATAddInto, New(3, 2), New(4, 2), New(4, 2)},
-		{"MatMulBTInto/inner", MatMulBTInto, New(2, 2), New(2, 3), New(2, 4)},
-		{"MatMulBTInto/dst", MatMulBTInto, New(2, 3), New(2, 4), New(2, 4)},
-	} {
+// shapeCase is one mismatched (dst, a, b) operand triple for a kernel.
+type shapeCase struct {
+	name      string
+	dst, a, b *Matrix
+}
+
+// checkShapePanics checks that run rejects every case with a panic before
+// touching dst.
+func checkShapePanics(t *testing.T, run func(dst, a, b *Matrix), cases ...shapeCase) {
+	t.Helper()
+	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			stale(c.dst)
 			defer func() {
@@ -187,9 +181,36 @@ func TestMatMulKernelShapePanics(t *testing.T) {
 					t.Fatal("dst written before the shape check")
 				}
 			}()
-			c.run(c.dst, c.a, c.b)
+			run(c.dst, c.a, c.b)
 		})
 	}
+}
+
+// The shape-panic tests check that each kernel rejects a mismatched inner
+// dimension and a mismatched dst before touching dst.
+
+func TestMatMulIntoShapePanics(t *testing.T) {
+	checkShapePanics(t, MatMulInto,
+		shapeCase{"inner", New(2, 3), New(2, 3), New(2, 3)},
+		shapeCase{"dst", New(3, 3), New(2, 3), New(3, 3)})
+}
+
+func TestMatMulATIntoShapePanics(t *testing.T) {
+	checkShapePanics(t, MatMulATInto,
+		shapeCase{"inner", New(2, 2), New(3, 2), New(4, 2)},
+		shapeCase{"dst", New(3, 2), New(4, 2), New(4, 2)})
+}
+
+func TestMatMulATAddIntoShapePanics(t *testing.T) {
+	checkShapePanics(t, MatMulATAddInto,
+		shapeCase{"inner", New(2, 2), New(3, 2), New(4, 2)},
+		shapeCase{"dst", New(3, 2), New(4, 2), New(4, 2)})
+}
+
+func TestMatMulBTIntoShapePanics(t *testing.T) {
+	checkShapePanics(t, MatMulBTInto,
+		shapeCase{"inner", New(2, 2), New(2, 3), New(2, 4)},
+		shapeCase{"dst", New(2, 3), New(2, 4), New(2, 4)})
 }
 
 // fuzzOperand fills an r×c matrix from rng with finite values, about one
