@@ -49,11 +49,7 @@ func (o *Adam) Step(params, grads []*tensor.Matrix) {
 		}
 		for j, gv := range g.Data {
 			if o.Clip > 0 {
-				if gv > o.Clip {
-					gv = o.Clip
-				} else if gv < -o.Clip {
-					gv = -o.Clip
-				}
+				gv = tensor.Clip(gv, o.Clip)
 			}
 			st.m.Data[j] = o.Beta1*st.m.Data[j] + (1-o.Beta1)*gv
 			st.v.Data[j] = o.Beta2*st.v.Data[j] + (1-o.Beta2)*gv*gv

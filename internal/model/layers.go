@@ -135,14 +135,15 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // Backward accumulates gain/bias gradients and returns dx using the
-// standard layer-norm backward formula.
+// standard layer-norm backward formula. It overwrites dy with dx, row by
+// row, and returns dy: callers pass a gradient they own and no longer
+// need.
 func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	if len(ln.queue) == 0 {
 		panic("model: LayerNorm.Backward with no in-flight forward")
 	}
 	c := ln.queue[0]
 	ln.queue = ln.queue[1:]
-	dx := tensor.New(dy.Rows, dy.Cols)
 	d := float64(dy.Cols)
 	if cap(ln.dxh) < dy.Cols {
 		ln.dxh = make([]float64, dy.Cols)
@@ -160,22 +161,22 @@ func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
 			sumDxh += v
 			sumDxhXh += v * xh[j]
 		}
+		// dxh and the two sums hold all this row needs from dyr.
 		inv := c.invStd[i]
-		dxr := dx.Row(i)
-		for j := range dxr {
-			dxr[j] = inv / d * (d*dxh[j] - sumDxh - xh[j]*sumDxhXh)
+		for j := range dyr {
+			dyr[j] = inv / d * (d*dxh[j] - sumDxh - xh[j]*sumDxhXh)
 		}
 	}
-	return dx
+	return dy
 }
 
 // Block is one residual unit: y = x + GELU(LayerNorm(x·W + b)).
 // Residual connections keep deep pipelines trainable; the block's dense
 // H×H weight is the unit of data-parallel gradient compression.
 type Block struct {
-	Lin      *Linear
-	LN       *LayerNorm
-	preQueue []*tensor.Matrix // LN outputs before GELU, per micro-batch
+	Lin       *Linear
+	LN        *LayerNorm
+	gradQueue []*tensor.Matrix // GELU derivative at the LN output, per micro-batch
 }
 
 // NewBlock returns a residual block over hidden dim h.
@@ -187,22 +188,19 @@ func NewBlock(rng *rand.Rand, h int) *Block {
 func (b *Block) Forward(x *tensor.Matrix) *tensor.Matrix {
 	z := b.Lin.Forward(x)
 	n := b.LN.Forward(z)
-	b.preQueue = append(b.preQueue, n.Clone())
-	act := tensor.GELU(n)
-	return x.Clone().Add(act)
+	g := tensor.New(n.Rows, n.Cols)
+	tensor.GELUWithGradInto(n, g)
+	b.gradQueue = append(b.gradQueue, g)
+	return n.Add(x)
 }
 
 // Backward runs the block's backward pass and returns dx.
 func (b *Block) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	if len(b.preQueue) == 0 {
+	if len(b.gradQueue) == 0 {
 		panic("model: Block.Backward with no in-flight forward")
 	}
-	pre := b.preQueue[0]
-	b.preQueue = b.preQueue[1:]
-	dAct := tensor.New(dy.Rows, dy.Cols)
-	for i, v := range pre.Data {
-		dAct.Data[i] = dy.Data[i] * tensor.GELUGrad(v)
-	}
+	dAct := b.gradQueue[0].Hadamard(dy)
+	b.gradQueue = b.gradQueue[1:]
 	dz := b.LN.Backward(dAct)
 	dx := b.Lin.Backward(dz)
 	return dx.Add(dy) // residual path

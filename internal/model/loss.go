@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/tensor"
@@ -49,29 +50,47 @@ func NewSGD(lr, momentum, clip float64) *SGD {
 	return &SGD{LR: lr, Momentum: momentum, Clip: clip, velocity: make(map[*tensor.Matrix]*tensor.Matrix)}
 }
 
-// Step applies one update: p ← p − lr·v where v ← μ·v + g. The gradient
-// matrices are not modified.
+// Step applies one update: p ← p − lr·v where v ← μ·v + g, with g
+// clipped element-wise when Clip > 0. The gradient matrices are not
+// modified.
 func (o *SGD) Step(params, grads []*tensor.Matrix) {
 	if len(params) != len(grads) {
 		panic("model: SGD params/grads length mismatch")
 	}
 	for i, p := range params {
 		g := grads[i]
-		eff := g
-		if o.Clip > 0 {
-			eff = g.Clone()
-			tensor.ClipInPlace(eff, o.Clip)
+		if p.Rows != g.Rows || p.Cols != g.Cols {
+			panic(fmt.Sprintf("model: SGD param %dx%d vs grad %dx%d", p.Rows, p.Cols, g.Rows, g.Cols))
 		}
+		pd, gd := p.Data, g.Data[:len(p.Data)]
+		lr, clip := o.LR, o.Clip
 		if o.Momentum > 0 {
 			v := o.velocity[p]
 			if v == nil {
 				v = tensor.New(g.Rows, g.Cols)
 				o.velocity[p] = v
 			}
-			v.Scale(o.Momentum).Add(eff)
-			eff = v
+			if v.Rows != g.Rows || v.Cols != g.Cols {
+				panic(fmt.Sprintf("model: SGD velocity %dx%d vs grad %dx%d", v.Rows, v.Cols, g.Rows, g.Cols))
+			}
+			vd, mu := v.Data[:len(pd)], o.Momentum
+			for j, gv := range gd {
+				if clip > 0 {
+					gv = tensor.Clip(gv, clip)
+				}
+				// The conversion rounds v·μ on its own, as a separate Scale
+				// would; without it the compiler may fuse it with the add.
+				vd[j] = float64(vd[j]*mu) + gv
+				pd[j] += -lr * vd[j]
+			}
+			continue
 		}
-		p.AddScaled(-o.LR, eff)
+		for j, gv := range gd {
+			if clip > 0 {
+				gv = tensor.Clip(gv, clip)
+			}
+			pd[j] += -lr * gv
+		}
 	}
 }
 

@@ -121,21 +121,41 @@ func LogSumExpRow(row []float64) float64 {
 // Tanh applies tanh element-wise in place.
 func Tanh(m *Matrix) *Matrix { return m.Apply(math.Tanh) }
 
+// geluC is sqrt(2/pi), the scale of the tanh approximation's argument.
+const geluC = 0.7978845608028654
+
 // GELU applies the tanh-approximation GELU activation in place, matching
 // the activation used in the Megatron-LM transformer block (Fig. 2).
 func GELU(m *Matrix) *Matrix {
-	const c = 0.7978845608028654 // sqrt(2/pi)
 	return m.Apply(func(x float64) float64 {
-		return 0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x)))
+		return 0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x)))
 	})
 }
 
 // GELUGrad returns dGELU/dx evaluated element-wise at x (tanh approximation).
 func GELUGrad(x float64) float64 {
-	const c = 0.7978845608028654
-	t := math.Tanh(c * (x + 0.044715*x*x*x))
-	dt := (1 - t*t) * c * (1 + 3*0.044715*x*x)
+	t := math.Tanh(geluC * (x + 0.044715*x*x*x))
+	dt := (1 - t*t) * geluC * (1 + 3*0.044715*x*x)
 	return 0.5*(1+t) + 0.5*x*dt
+}
+
+// GELUWithGradInto overwrites m with GELU(m) and writes dGELU/dx at m's
+// old values into grad, in one pass with one math.Tanh per element.
+//
+// Contract: both outputs are bit-identical to the separate kernels — m
+// to GELU(m) and grad[i] to GELUGrad(old m[i]) — for every input,
+// including ±0, ±Inf and NaN. Each output is the same expression as in
+// GELU and GELUGrad, only the tanh is shared. grad must have m's shape
+// and must not alias it.
+func GELUWithGradInto(m, grad *Matrix) {
+	m.mustSameShape(grad, "GELUWithGradInto")
+	g := grad.Data[:len(m.Data)]
+	for i, x := range m.Data {
+		t := math.Tanh(geluC * (x + 0.044715*x*x*x))
+		dt := (1 - t*t) * geluC * (1 + 3*0.044715*x*x)
+		g[i] = 0.5*(1+t) + 0.5*x*dt
+		m.Data[i] = 0.5 * x * (1 + t)
+	}
 }
 
 // ArgmaxRow returns the index of the largest value in row.
@@ -153,12 +173,18 @@ func ArgmaxRow(row []float64) int {
 // the tiny stand-in model stable under aggressive compression.
 func ClipInPlace(m *Matrix, c float64) {
 	for i, v := range m.Data {
-		if v > c {
-			m.Data[i] = c
-		} else if v < -c {
-			m.Data[i] = -c
-		}
+		m.Data[i] = Clip(v, c)
 	}
+}
+
+// Clip clamps v to [-c, c]. NaN passes through unchanged.
+func Clip(v, c float64) float64 {
+	if v > c {
+		return c
+	} else if v < -c {
+		return -c
+	}
+	return v
 }
 
 // Mean returns the arithmetic mean of v, or 0 for an empty slice.

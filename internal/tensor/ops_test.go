@@ -143,6 +143,73 @@ func TestGELUGradMatchesFiniteDifference(t *testing.T) {
 	}
 }
 
+// geluSpecials covers ±0, subnormal and tiny inputs (whose cube
+// underflows), tanh arguments on both sides of math.Tanh's |z| = 0.625
+// branch (x = 0.76 gives z ≈ 0.622, x = 0.77 gives z ≈ 0.631), saturation
+// (math.Tanh's early return, and a cube that overflows), ±Inf and NaN.
+var geluSpecials = []float64{
+	0, math.Copysign(0, -1),
+	5e-324, -5e-324, 1e-300, -1e-300, 1e-160, -1e-160,
+	0.76, -0.76, 0.77, -0.77, 0.5, -0.5, 1, -1, 3, -3,
+	20, -20, 60, -60, 1e103, -1e103, math.MaxFloat64, -math.MaxFloat64,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+// checkGELUWithGrad runs GELUWithGradInto on xs and compares both outputs
+// bit for bit with GELU and GELUGrad.
+func checkGELUWithGrad(t *testing.T, xs []float64) {
+	t.Helper()
+	m := FromSlice(1, len(xs), append([]float64(nil), xs...))
+	grad := stale(New(1, len(xs)))
+	GELUWithGradInto(m, grad)
+	want := GELU(FromSlice(1, len(xs), append([]float64(nil), xs...)))
+	for i, x := range xs {
+		if got, w := math.Float64bits(m.Data[i]), math.Float64bits(want.Data[i]); got != w {
+			t.Errorf("GELU(%v): fused %v (%#x), GELU %v (%#x)", x, m.Data[i], got, want.Data[i], w)
+		}
+		wg := GELUGrad(x)
+		if got, w := math.Float64bits(grad.Data[i]), math.Float64bits(wg); got != w {
+			t.Errorf("GELUGrad(%v): fused %v (%#x), GELUGrad %v (%#x)", x, grad.Data[i], got, wg, w)
+		}
+	}
+}
+
+func TestGELUWithGradIntoMatchesOracles(t *testing.T) {
+	checkGELUWithGrad(t, geluSpecials)
+	// A sweep across the model's working range, straddling the tanh
+	// branch point many times over.
+	var sweep []float64
+	for x := -6.0; x <= 6; x += 1.0 / 1024 {
+		sweep = append(sweep, x)
+	}
+	checkGELUWithGrad(t, sweep)
+}
+
+func TestGELUWithGradIntoShapePanics(t *testing.T) {
+	m := FromSlice(1, 2, []float64{1, 2})
+	grad := stale(New(2, 1))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+		if m.Data[0] != 1 || m.Data[1] != 2 || !grad.Equal(stale(New(2, 1)), 0) {
+			t.Fatal("operands written before the shape check")
+		}
+	}()
+	GELUWithGradInto(m, grad)
+}
+
+// FuzzGELUWithGrad checks the fused kernel against GELU and GELUGrad bit
+// for bit on arbitrary float64 inputs.
+func FuzzGELUWithGrad(f *testing.F) {
+	for _, x := range geluSpecials {
+		f.Add(x, -x, x/3)
+	}
+	f.Fuzz(func(t *testing.T, a, b, c float64) {
+		checkGELUWithGrad(t, []float64{a, b, c})
+	})
+}
+
 func TestArgmaxRow(t *testing.T) {
 	if ArgmaxRow([]float64{1, 5, 3}) != 1 {
 		t.Fatal("argmax wrong")

@@ -122,7 +122,7 @@ func (t *Trainer) MemoryPerStage() []MemoryBreakdown {
 	out := make([]MemoryBreakdown, cfg.Stages)
 	b := cfg.MicroBatch
 	h := cfg.Model.Hidden
-	actPerMicroPerBlock := int64(3*b*h) * 8 // linear input, LN xHat, pre-GELU
+	actPerMicroPerBlock := int64(3*b*h) * 8 // linear input, LN xHat, GELU derivative
 	for s, stage := range t.replicas[0] {
 		var mb MemoryBreakdown
 		mb.ParamBytes = stage.ParamBytes(8)
