@@ -297,10 +297,11 @@ func BenchmarkGramSchmidt(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateIteration measures one full task-graph solve of the
-// paper cluster.
+// BenchmarkSimulateIteration measures one Simulate call on the paper
+// cluster: skeleton build, pricing, and the §3 breakdown re-solves.
 func BenchmarkSimulateIteration(b *testing.B) {
 	sc := sim.PaperScenario(cluster.GPT25B, core.CBFESC())
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Simulate(sc); err != nil {
 			b.Fatal(err)

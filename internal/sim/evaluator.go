@@ -1,36 +1,33 @@
 package sim
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-
 	"repro/internal/core"
-	"repro/internal/pipeline"
 	"repro/internal/plan"
 	"repro/internal/simnet"
 )
 
-// Evaluator prices many Optimus-CC configurations on one frozen task
-// graph. The graph's structure — which tasks exist, their dependencies,
-// the per-device/per-link resource chains — is fixed by the parallelism
-// grid (stages × micro-batches); only the task durations vary with the
-// configuration. BuildGraph+Solve re-derives that structure for every
-// call, which is fine for a handful of scenarios but not for a
-// plan-space search pricing thousands of candidates. NewEvaluator
-// builds the graph once, freezes its topological order
-// (simnet.Sequence), and records per-task metadata (kind, stage,
-// micro-batch, warmup/epilogue phase); Price then assigns durations
-// from computeDurations — the exact formulas BuildGraph uses — and
-// re-solves in a single allocation-free pass per breakdown component.
+// Evaluator prices Optimus-CC configurations on one frozen task graph,
+// and is the simulator's single pricing path: Simulate, Timeline,
+// WriteTrace and Summarize are thin wrappers over it. The graph's
+// structure — which tasks exist, their dependencies, the
+// per-device/per-link resource chains — is fixed by the parallelism grid
+// (stages × micro-batches); only the task durations vary with the
+// configuration. NewEvaluator builds the zero-duration skeleton once with
+// typed per-task metadata (kind, stage, micro-batch, warmup/epilogue
+// phase) and freezes its topological order (simnet.Sequence). Price then
+// assigns the durations from computeDurations and re-solves in a single
+// allocation-free pass per breakdown component, so a plan-space search
+// can price thousands of candidates on one grid.
 //
 // Structural superset: the skeleton is built under a dense,
 // two-phase-embedding configuration. A fused-§6 candidate prices the
-// second EMB task at zero duration, which leaves the makespan and the
-// breakdown re-solves identical to the graph BuildGraph would have
-// produced for it (the extra zero task finishes exactly when its
-// predecessor does). TestEvaluatorMatchesSimulate pins this equivalence
-// against full Simulate across every compressor family.
+// second EMB task at zero duration, which leaves the makespan, the
+// breakdown re-solves, the per-label and per-resource busy sums, and the
+// trace identical to a graph built for the fused candidate alone (the
+// extra zero task finishes exactly when its predecessor does, and adds
+// zero to every sum). TestSimulateMatchesOracle pins this bit for bit
+// against the rebuild-per-component oracle across every compressor
+// family and several grids.
 //
 // Concurrency contract: an Evaluator is single-goroutine. Price mutates
 // the frozen sequence in place (task durations, the solver's scratch),
@@ -43,8 +40,8 @@ import (
 type Evaluator struct {
 	base  Scenario
 	seq   *simnet.Sequence
-	tasks []*simnet.Task
-	meta  []taskMeta
+	tasks []*simnet.Task // the skeleton's tasks in insertion order
+	meta  []taskMeta     // parallel to tasks
 }
 
 type taskKind int8
@@ -101,70 +98,30 @@ type Estimate struct {
 // freezes it. The scenario's Cfg and BucketBytes are templates only —
 // Price substitutes the candidate's.
 func NewEvaluator(base Scenario) (*Evaluator, error) {
+	ev, _, err := newEvaluator(base)
+	return ev, err
+}
+
+// newEvaluator is NewEvaluator that also returns the skeleton graph, for
+// the wrappers that read per-label sums or per-task times. The Evaluator
+// itself does not keep the graph: pooled evaluators would otherwise
+// retain its ID and resource indexes, which Price never reads.
+func newEvaluator(base Scenario) (*Evaluator, *simnet.Graph, error) {
 	skel := base
 	skel.Cfg = core.Config{Seed: 1} // dense two-phase skeleton (structural superset)
 	skel.BucketBytes = 0
-	g, err := BuildGraph(skel, nil)
-	if err != nil {
-		return nil, err
+	if err := skel.Validate(); err != nil {
+		return nil, nil, err
 	}
-	sched, err := pipeline.OneFOneB(skel.Map.PP, skel.MicroBatches())
+	g, meta, err := buildSkeleton(skel)
 	if err != nil {
-		return nil, err
-	}
-	fwdWarmup := make(map[[2]int]bool)
-	for st := 0; st < skel.Map.PP; st++ {
-		for _, op := range sched.PerStage[st] {
-			if op.Kind == pipeline.Forward {
-				fwdWarmup[[2]int{st, op.Micro}] = op.Phase == pipeline.Warmup
-			}
-		}
+		return nil, nil, err
 	}
 	seq, err := g.Freeze()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	ev := &Evaluator{base: base, seq: seq, tasks: seq.Tasks()}
-	ev.meta = make([]taskMeta, len(ev.tasks))
-	for i, t := range ev.tasks {
-		m, err := parseTaskID(t.ID)
-		if err != nil {
-			return nil, err
-		}
-		switch m.kind {
-		case taskSendFwd:
-			m.warmup = fwdWarmup[[2]int{m.stage, m.micro}]
-		case taskSendBwd:
-			m.epilogue = sched.IsEpilogueBackward(m.stage, m.micro)
-		}
-		ev.meta[i] = m
-	}
-	return ev, nil
-}
-
-// parseTaskID decodes BuildGraph's task-ID scheme (F/st/mi, B/st/mi,
-// SF/st/mi, SB/st/mi, DP/st, EMB/i).
-func parseTaskID(id string) (taskMeta, error) {
-	parts := strings.Split(id, "/")
-	atoi := func(s string) int {
-		n, _ := strconv.Atoi(s)
-		return n
-	}
-	switch {
-	case len(parts) == 3 && parts[0] == "F":
-		return taskMeta{kind: taskFwd, stage: atoi(parts[1]), micro: atoi(parts[2])}, nil
-	case len(parts) == 3 && parts[0] == "B":
-		return taskMeta{kind: taskBwd, stage: atoi(parts[1]), micro: atoi(parts[2])}, nil
-	case len(parts) == 3 && parts[0] == "SF":
-		return taskMeta{kind: taskSendFwd, stage: atoi(parts[1]), micro: atoi(parts[2])}, nil
-	case len(parts) == 3 && parts[0] == "SB":
-		return taskMeta{kind: taskSendBwd, stage: atoi(parts[1]), micro: atoi(parts[2])}, nil
-	case len(parts) == 2 && parts[0] == "DP":
-		return taskMeta{kind: taskDP, stage: atoi(parts[1])}, nil
-	case len(parts) == 2 && parts[0] == "EMB":
-		return taskMeta{kind: taskEmb, stage: atoi(parts[1])}, nil
-	}
-	return taskMeta{}, fmt.Errorf("sim: unrecognized task id %q", id)
+	return &Evaluator{base: base, seq: seq, tasks: g.Tasks(), meta: meta}, g, nil
 }
 
 // Scenario returns the evaluator's base scenario (Cfg/BucketBytes are
@@ -174,47 +131,50 @@ func (ev *Evaluator) Scenario() Scenario { return ev.base }
 // Plan compiles the candidate's plan on the evaluator's grid — the same
 // plan Price prices and the trainer would execute.
 func (ev *Evaluator) Plan(cfg core.Config, bucketBytes int64) (*plan.Plan, error) {
-	s := ev.base
-	s.Cfg = cfg
-	if bucketBytes > 0 {
-		s.BucketBytes = bucketBytes
-	}
-	return s.Plan()
+	return ev.candidate(cfg, bucketBytes).Plan()
 }
 
-// Price evaluates one candidate configuration: compile its plan, assign
-// the plan-derived durations onto the frozen sequence, and re-solve for
-// the iteration time and the exposed-communication breakdown. An
-// invalid configuration (unknown family, bad rank) errors before any
-// pricing, exactly like plan.Compile.
-func (ev *Evaluator) Price(cfg core.Config, bucketBytes int64) (Estimate, error) {
+// candidate is the base scenario with one candidate's configuration.
+func (ev *Evaluator) candidate(cfg core.Config, bucketBytes int64) Scenario {
 	s := ev.base
 	s.Cfg = cfg
 	if bucketBytes > 0 {
 		s.BucketBytes = bucketBytes
 	}
+	return s
+}
+
+// assign writes every skeleton task's duration for scenario s, which
+// must share the evaluator's grid, and returns the compiled plan and the
+// durations it priced from. It is the only code in the simulator that
+// sets a task duration. An invalid configuration errors before any task
+// is touched.
+func (ev *Evaluator) assign(s Scenario) (*plan.Plan, durations, error) {
 	if err := s.Validate(); err != nil {
-		return Estimate{}, err
+		return nil, durations{}, err
 	}
 	pl, err := s.Plan()
 	if err != nil {
-		return Estimate{}, err
+		return nil, durations{}, err
 	}
 	d := computeDurations(s, pl)
+	// Steady-phase transfers are partially hidden by Megatron's async
+	// send/recv (CommParams.SteadyOverlap); warmup forwards (pipeline
+	// fill) and epilogue backwards (drain) are fully exposed.
 	hide := 1 - s.Comm.SteadyOverlap
 	for i, t := range ev.tasks {
 		m := ev.meta[i]
+		var dur float64
 		switch m.kind {
 		case taskFwd:
-			t.Duration = d.fwd[m.stage]
+			dur = d.fwd[m.stage]
 		case taskBwd:
-			t.Duration = d.bwd[m.stage]
+			dur = d.bwd[m.stage]
 		case taskSendFwd:
-			dur := d.sendFwdXfer
+			dur = d.sendFwdXfer
 			if !m.warmup {
 				dur *= hide
 			}
-			t.Duration = dur
 		case taskSendBwd:
 			xfer := d.sendBwdXfer
 			var codec float64
@@ -225,16 +185,29 @@ func (ev *Evaluator) Price(cfg core.Config, bucketBytes int64) (Estimate, error)
 			if !m.epilogue {
 				xfer *= hide
 			}
-			t.Duration = xfer + codec
+			dur = xfer + codec
 		case taskDP:
-			t.Duration = d.dp[m.stage]
+			dur = d.dp[m.stage]
 		case taskEmb:
 			if m.stage < len(d.embPhase) {
-				t.Duration = d.embPhase[m.stage]
-			} else {
-				t.Duration = 0 // fused/dp-only candidate on the two-phase skeleton
-			}
+				dur = d.embPhase[m.stage]
+			} // else 0: fused candidate on the two-phase skeleton
 		}
+		t.Duration = dur
+	}
+	return pl, d, nil
+}
+
+// Price evaluates one candidate configuration: compile its plan, assign
+// the plan-derived durations onto the frozen sequence, and re-solve for
+// the iteration time and the exposed-communication breakdown. An
+// invalid configuration (unknown family, bad rank) errors before any
+// pricing, exactly like plan.Compile.
+func (ev *Evaluator) Price(cfg core.Config, bucketBytes int64) (Estimate, error) {
+	s := ev.candidate(cfg, bucketBytes)
+	pl, d, err := ev.assign(s)
+	if err != nil {
+		return Estimate{}, err
 	}
 	est := Estimate{IterationSec: ev.seq.Makespan(nil)}
 	est.ExposedPPSec = est.IterationSec - ev.seq.MakespanWithout(LabelInterStage)

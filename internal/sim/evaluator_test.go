@@ -37,6 +37,11 @@ func evaluatorConfigs() map[string]core.Config {
 	return cfgs
 }
 
+// TestEvaluatorMatchesSimulate pins Price to Simulate bit for bit on the
+// paper grid: one Evaluator reused across every candidate must give the
+// same iteration time and exposed components as a fresh Simulate per
+// candidate. Simulate itself is pinned to the rebuild-per-component
+// oracle by TestSimulateMatchesOracle (oracle_test.go).
 func TestEvaluatorMatchesSimulate(t *testing.T) {
 	base := PaperScenario(cluster.GPT25B, core.Baseline())
 	ev, err := NewEvaluator(base)
@@ -54,7 +59,7 @@ func TestEvaluatorMatchesSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if math.Abs(est.IterationSec-res.IterationSec) > 1e-9*res.IterationSec {
+		if math.Float64bits(est.IterationSec) != math.Float64bits(res.IterationSec) {
 			t.Errorf("%s: evaluator iteration %v, Simulate %v", name, est.IterationSec, res.IterationSec)
 		}
 		for label, got := range map[string]float64{
@@ -63,7 +68,7 @@ func TestEvaluatorMatchesSimulate(t *testing.T) {
 			LabelEmb:        est.ExposedEmbSec,
 		} {
 			want := res.Exposed[label]
-			if math.Abs(got-want) > 1e-9*(math.Abs(want)+1e-12) {
+			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("%s: exposed %s %v, Simulate %v", name, label, got, want)
 			}
 		}

@@ -35,21 +35,10 @@ type durations struct {
 	embBytes         int64   // per-rank embedding-table shard
 }
 
-// zeroSet marks labels whose tasks get zero duration (the §3 CPI-stack
-// "turn off a component" methodology).
-type zeroSet map[string]bool
-
-func (z zeroSet) dur(label string, d float64) float64 {
-	if z[label] {
-		return 0
-	}
-	return d
-}
-
 // computeDurations derives every task duration from the scenario and
 // its compiled plan (which supplies the §7 stage selection and the §6
 // embedding strategy; the per-edge §5.2 placement is applied by
-// BuildGraph from the same plan).
+// Evaluator.assign from the same plan).
 func computeDurations(s Scenario, pl *plan.Plan) durations {
 	var d durations
 	p := s.Map.PP
@@ -186,99 +175,84 @@ func computeDurations(s Scenario, pl *plan.Plan) durations {
 	return d
 }
 
-// BuildGraph assembles one training iteration as a task graph. zero lists
-// component labels whose durations are forced to zero (for breakdowns).
-func BuildGraph(s Scenario, zero zeroSet) (*simnet.Graph, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
+// buildSkeleton assembles one training iteration as a task graph with
+// every duration zero, and returns the typed metadata of each task in
+// insertion order (parallel to g.Tasks()), from which Evaluator.assign
+// prices it. The structure depends only on the grid and on the plan's §6
+// embedding strategy, never on durations.
+func buildSkeleton(s Scenario) (*simnet.Graph, []taskMeta, error) {
 	p := s.Map.PP
 	m := s.MicroBatches()
 	pl, err := s.Plan()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sched, err := pipeline.OneFOneB(p, m)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	d := computeDurations(s, pl)
 	g := simnet.NewGraph()
+	var meta []taskMeta
+	add := func(id, label, resource string, tm taskMeta) *simnet.Task {
+		meta = append(meta, tm)
+		return g.Add(id, label, 0, resource)
+	}
 
 	dev := func(st int) string { return fmt.Sprintf("dev%d", st) }
 	fid := func(st, mi int) string { return fmt.Sprintf("F/%d/%d", st, mi) }
 	bid := func(st, mi int) string { return fmt.Sprintf("B/%d/%d", st, mi) }
-	sfid := func(st, mi int) string { return fmt.Sprintf("SF/%d/%d", st, mi) }
-	sbid := func(st, mi int) string { return fmt.Sprintf("SB/%d/%d", st, mi) }
 
 	// Compute tasks in per-device schedule order (fixes resource order).
+	warmup := make([]bool, p*m) // forward (st, mi) belongs to the pipeline fill
 	for st := 0; st < p; st++ {
 		for _, op := range sched.PerStage[st] {
 			switch op.Kind {
 			case pipeline.Forward:
-				g.Add(fid(st, op.Micro), LabelFwd, zero.dur(LabelFwd, d.fwd[st]), dev(st))
+				warmup[st*m+op.Micro] = op.Phase == pipeline.Warmup
+				add(fid(st, op.Micro), LabelFwd, dev(st), taskMeta{kind: taskFwd, stage: st, micro: op.Micro})
 			case pipeline.Backward:
-				g.Add(bid(st, op.Micro), LabelBwd, zero.dur(LabelBwd, d.bwd[st]), dev(st))
+				add(bid(st, op.Micro), LabelBwd, dev(st), taskMeta{kind: taskBwd, stage: st, micro: op.Micro})
 			}
 		}
 	}
 	// Inter-stage transfers: forward sends stage st → st+1, backward sends
 	// stage st → st−1. Each boundary/direction is its own link resource.
-	// Steady-phase transfers are partially hidden by Megatron's async
-	// send/recv (CommParams.SteadyOverlap); warmup forwards (pipeline
-	// fill) and epilogue backwards (drain) are fully exposed.
-	hide := 1 - s.Comm.SteadyOverlap
-	fwdPhase := make(map[[2]int]pipeline.Phase)
-	for st := 0; st < p; st++ {
-		for _, op := range sched.PerStage[st] {
-			if op.Kind == pipeline.Forward {
-				fwdPhase[[2]int{st, op.Micro}] = op.Phase
-			}
-		}
-	}
+	// Warmup forwards (pipeline fill) and epilogue backwards (drain) are
+	// marked: assign never hides them behind compute.
 	for st := 0; st < p-1; st++ {
 		for mi := 0; mi < m; mi++ {
-			dur := d.sendFwdXfer
-			if fwdPhase[[2]int{st, mi}] != pipeline.Warmup {
-				dur *= hide
-			}
-			t := g.Add(sfid(st, mi), LabelInterStage, zero.dur(LabelInterStage, dur),
-				fmt.Sprintf("linkF%d", st))
+			t := add(fmt.Sprintf("SF/%d/%d", st, mi), LabelInterStage, fmt.Sprintf("linkF%d", st),
+				taskMeta{kind: taskSendFwd, stage: st, micro: mi, warmup: warmup[st*m+mi]})
 			g.Dep(g.Get(fid(st, mi)), t)
 			g.Dep(t, g.Get(fid(st+1, mi)))
 		}
 	}
 	for st := 1; st < p; st++ {
 		for mi := 0; mi < m; mi++ {
-			epilogue := sched.IsEpilogueBackward(st, mi)
-			compressed := pl.CompressBackward(st, mi)
-			xfer := d.sendBwdXfer
-			var codec float64
-			if compressed {
-				xfer = d.sendBwdCmpXfer
-				codec = d.sendBwdCodec
-			}
-			if !epilogue {
-				xfer *= hide
-			}
-			t := g.Add(sbid(st, mi), LabelInterStage, zero.dur(LabelInterStage, xfer+codec),
-				fmt.Sprintf("linkB%d", st))
+			t := add(fmt.Sprintf("SB/%d/%d", st, mi), LabelInterStage, fmt.Sprintf("linkB%d", st),
+				taskMeta{kind: taskSendBwd, stage: st, micro: mi, epilogue: sched.IsEpilogueBackward(st, mi)})
 			g.Dep(g.Get(bid(st, mi)), t)
 			g.Dep(t, g.Get(bid(st-1, mi)))
 		}
 	}
 	// Data-parallel all-reduce per stage, after the stage's last backward.
 	for st := 0; st < p; st++ {
-		t := g.Add(fmt.Sprintf("DP/%d", st), LabelDP, zero.dur(LabelDP, d.dp[st]),
-			fmt.Sprintf("nic%d", st))
+		t := add(fmt.Sprintf("DP/%d", st), LabelDP, fmt.Sprintf("nic%d", st), taskMeta{kind: taskDP, stage: st})
 		g.Dep(g.Get(bid(st, m-1)), t)
 	}
 	// Embedding synchronization: baseline is two chained phases (EMB DP
 	// then EMB Sync, Fig. 4a); fused is a single phase (§6). Both involve
 	// the first and last stages' NICs, after those stages' DP traffic.
+	phases := 2
+	switch pl.Embedding() {
+	case plan.EmbNone:
+		phases = 0
+	case plan.EmbDPOnly, plan.EmbFused:
+		phases = 1
+	}
 	var prev *simnet.Task
-	for i, dur := range d.embPhase {
-		t := g.Add(fmt.Sprintf("EMB/%d", i), LabelEmb, zero.dur(LabelEmb, dur), "nicEmb")
+	for i := 0; i < phases; i++ {
+		t := add(fmt.Sprintf("EMB/%d", i), LabelEmb, "nicEmb", taskMeta{kind: taskEmb, stage: i})
 		g.Dep(g.Get(bid(0, m-1)), t)
 		g.Dep(g.Get(bid(p-1, m-1)), t)
 		g.Dep(g.Get("DP/0"), t)
@@ -288,19 +262,43 @@ func BuildGraph(s Scenario, zero zeroSet) (*simnet.Graph, error) {
 		}
 		prev = t
 	}
-	return g, nil
+	return g, meta, nil
 }
 
-// Simulate resolves one iteration and projects total training time.
+// priced returns an evaluator for s, and its skeleton graph, with every
+// task priced for s itself.
+func priced(s Scenario) (*Evaluator, *simnet.Graph, error) {
+	ev, g, err := newEvaluator(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, _, err := ev.assign(s); err != nil {
+		return nil, nil, err
+	}
+	return ev, g, nil
+}
+
+// solveIteration prices s and resolves every task's start and finish
+// time on the skeleton graph, for the renderers that read per-task times
+// rather than only the makespan.
+func solveIteration(s Scenario) (*simnet.Graph, float64, error) {
+	_, g, err := priced(s)
+	if err != nil {
+		return nil, 0, err
+	}
+	mk, err := g.Solve()
+	return g, mk, err
+}
+
+// Simulate resolves one iteration and projects total training time. The
+// breakdown follows §3: each component's exposed time is the iteration
+// time minus the makespan with that component's tasks priced at zero.
 func Simulate(s Scenario) (Result, error) {
-	g, err := BuildGraph(s, nil)
+	ev, g, err := priced(s)
 	if err != nil {
 		return Result{}, err
 	}
-	iter, err := g.Solve()
-	if err != nil {
-		return Result{}, err
-	}
+	iter := ev.seq.Makespan(nil)
 	res := Result{
 		IterationSec: iter,
 		Days:         iter * float64(s.Iterations) / 86400,
@@ -308,15 +306,7 @@ func Simulate(s Scenario) (Result, error) {
 		Busy:         g.TotalByLabel(),
 	}
 	for _, label := range AllLabels {
-		g2, err := BuildGraph(s, zeroSet{label: true})
-		if err != nil {
-			return Result{}, err
-		}
-		mk, err := g2.Solve()
-		if err != nil {
-			return Result{}, err
-		}
-		res.Exposed[label] = iter - mk
+		res.Exposed[label] = iter - ev.seq.MakespanWithout(label)
 	}
 	return res, nil
 }

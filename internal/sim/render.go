@@ -10,11 +10,7 @@ import (
 // Forward compute prints as 'F', backward as 'B', idle as '.', and the
 // tail communications (DP/EMB) as 'D'/'E' on the stages they occupy.
 func Timeline(s Scenario, width int) (string, error) {
-	g, err := BuildGraph(s, nil)
-	if err != nil {
-		return "", err
-	}
-	makespan, err := g.Solve()
+	g, makespan, err := solveIteration(s)
 	if err != nil {
 		return "", err
 	}

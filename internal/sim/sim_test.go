@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -344,6 +345,42 @@ func TestTimelineRendering(t *testing.T) {
 	}
 	if !strings.Contains(out, "D") || !strings.Contains(out, "E") {
 		t.Fatal("timeline missing DP/EMB marks")
+	}
+}
+
+// TestTimelineGolden pins the Fig. 4 rendering byte for byte, for the
+// baseline (two-phase §6 embedding) and full Optimus-CC (fused), at a
+// fixed efficiency so the golden does not move with calibration.
+func TestTimelineGolden(t *testing.T) {
+	var got strings.Builder
+	for _, cfg := range []core.Config{core.Baseline(), core.CBFESC()} {
+		sc := PaperScenario(cluster.GPT25B, cfg)
+		sc.Topo.Efficiency = 0.35
+		out, err := Timeline(sc, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.WriteString(out)
+	}
+	want, err := os.ReadFile("testdata/timeline_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("timeline drifted from testdata/timeline_golden.txt:\n got:\n%s\nwant:\n%s", got.String(), want)
+	}
+}
+
+// TestCalibrationBits pins the calibrated GPT-2.5B efficiency (eff's
+// target is experiments.PaperIterationTarget) to its exact bits: served
+// what-if prices, optcc-sim tables and the autotune goldens are all
+// computed at this efficiency, so any drift in the simulator's
+// arithmetic shows here first.
+func TestCalibrationBits(t *testing.T) {
+	const want = 0x3fb47b04eb28544a // 0.0800021242251471
+	if got := eff(t); math.Float64bits(got) != want {
+		t.Fatalf("calibrated efficiency %v (bits %#x), want %v (bits %#x)",
+			got, math.Float64bits(got), math.Float64frombits(want), uint64(want))
 	}
 }
 

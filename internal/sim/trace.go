@@ -23,11 +23,8 @@ const PredictedTracePID = 1
 // WriteTrace simulates the scenario and writes the task timeline as a
 // Chrome trace (JSON array) to w.
 func WriteTrace(s Scenario, w io.Writer) error {
-	g, err := BuildGraph(s, nil)
+	g, _, err := solveIteration(s)
 	if err != nil {
-		return err
-	}
-	if _, err := g.Solve(); err != nil {
 		return err
 	}
 	enc := obs.NewTraceEncoder(PredictedTracePID)
@@ -60,11 +57,7 @@ type TraceSummary struct {
 
 // Summarize simulates and reports utilization.
 func Summarize(s Scenario) (TraceSummary, error) {
-	g, err := BuildGraph(s, nil)
-	if err != nil {
-		return TraceSummary{}, err
-	}
-	mk, err := g.Solve()
+	g, mk, err := solveIteration(s)
 	if err != nil {
 		return TraceSummary{}, err
 	}

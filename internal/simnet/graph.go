@@ -17,7 +17,6 @@ type Task struct {
 	deps   []*Task
 	start  float64
 	finish float64
-	solved bool
 }
 
 // Start returns the resolved start time (valid after Graph.Solve).
@@ -30,11 +29,9 @@ func (t *Task) Finish() float64 { return t.finish }
 // insertion order: adding tasks in schedule order encodes the per-device
 // execution policy, exactly how 1F1B fixes each device's op sequence.
 type Graph struct {
-	tasks    []*Task
-	byID     map[string]*Task
-	resSeq   map[string][]*Task
-	solved   bool
-	makespan float64
+	tasks  []*Task
+	byID   map[string]*Task
+	resSeq map[string][]*Task
 }
 
 // NewGraph returns an empty task graph.
@@ -56,7 +53,6 @@ func (g *Graph) Add(id, label string, duration float64, resource string) *Task {
 	if resource != "" {
 		g.resSeq[resource] = append(g.resSeq[resource], t)
 	}
-	g.solved = false
 	return t
 }
 
@@ -66,7 +62,6 @@ func (g *Graph) Dep(before, after *Task) {
 		panic("simnet: nil task in Dep")
 	}
 	after.deps = append(after.deps, before)
-	g.solved = false
 }
 
 // Get returns a task by id, or nil.
@@ -116,7 +111,6 @@ func (g *Graph) Solve() (float64, error) {
 		}
 		t.start = start
 		t.finish = start + t.Duration
-		t.solved = true
 		if t.finish > makespan {
 			makespan = t.finish
 		}
@@ -131,13 +125,8 @@ func (g *Graph) Solve() (float64, error) {
 	if done != len(g.tasks) {
 		return 0, fmt.Errorf("simnet: dependency cycle (%d of %d tasks resolved)", done, len(g.tasks))
 	}
-	g.solved = true
-	g.makespan = makespan
 	return makespan, nil
 }
-
-// Makespan returns the last Solve result.
-func (g *Graph) Makespan() float64 { return g.makespan }
 
 // TotalByLabel sums task durations per label — the raw material of the
 // CPI-stack-style breakdown of Fig. 3/10.
@@ -158,52 +147,6 @@ func (g *Graph) ResourceBusy() map[string]float64 {
 		}
 	}
 	return out
-}
-
-// CriticalPath returns the chain of tasks ending at the makespan,
-// following, at each step, the predecessor (dependency or resource) whose
-// finish time equals the task's start time.
-func (g *Graph) CriticalPath() []*Task {
-	if !g.solved {
-		return nil
-	}
-	// Find the final task.
-	var last *Task
-	for _, t := range g.tasks {
-		if last == nil || t.finish > last.finish {
-			last = t
-		}
-	}
-	resPrev := make(map[*Task]*Task)
-	for _, seq := range g.resSeq {
-		for i := 1; i < len(seq); i++ {
-			resPrev[seq[i]] = seq[i-1]
-		}
-	}
-	var path []*Task
-	for t := last; t != nil; {
-		path = append(path, t)
-		if t.start == 0 {
-			break
-		}
-		var next *Task
-		cands := append([]*Task{}, t.deps...)
-		if rp := resPrev[t]; rp != nil {
-			cands = append(cands, rp)
-		}
-		for _, c := range cands {
-			if c.finish == t.start {
-				next = c
-				break
-			}
-		}
-		t = next
-	}
-	// Reverse to chronological order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
 }
 
 // ResourceTimeline returns the tasks of one resource sorted by start time,
